@@ -7,8 +7,8 @@ GO ?= go
 .PHONY: verify tier1 lint golden fuzz-smoke distributed-e2e bench bench-quick benchcmp profile update-golden envelopes
 
 # verify = tier-1 + lint + the golden regression corpus + a fuzz smoke of
-# both parsers + the multi-worker lease-plane scenarios. This is the full
-# pre-commit gate.
+# the outward-facing decoders + the multi-worker lease-plane scenarios.
+# This is the full pre-commit gate.
 verify: tier1 lint golden fuzz-smoke distributed-e2e
 
 # tier1 is the repo's baseline check (ROADMAP.md): everything builds,
@@ -45,6 +45,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzParseTrace -fuzztime=10s ./internal/trace/
 	$(GO) test -fuzz=FuzzLoadConfig -fuzztime=10s ./internal/config/
 	$(GO) test -fuzz=FuzzParseSnapshot -fuzztime=10s ./internal/sim/
+	$(GO) test -fuzz=FuzzDecodeWireJob -fuzztime=10s ./internal/service/
 
 # distributed-e2e runs the multi-worker lease-plane scenarios — daemon +
 # worker loops with fault injection (worker killed mid-job, lease expiry

@@ -451,9 +451,9 @@ func BenchmarkAblationHybridDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationSampling measures wave-aware block sampling: simulated
-// work shrinks with the sampling fraction while extrapolated cycles stay
-// in band.
+// BenchmarkAblationSampling measures sampled execution across block
+// fractions: simulated work shrinks with the fraction while extrapolated
+// cycles stay in band.
 func BenchmarkAblationSampling(b *testing.B) {
 	for _, frac := range []float64{0, 0.5, 0.25} {
 		name := "full"
@@ -462,14 +462,15 @@ func BenchmarkAblationSampling(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			// A small GPU so the workload spans several waves and
-			// sampling has blocks to skip.
+			// sampling has blocks to skip; at this scale the two
+			// fractions select different numbers of tail windows.
 			gpu := benchGPU()
 			gpu.NumSMs = 4
 			gpu.MemPartitions = 2
 			var cycles uint64
 			for i := 0; i < b.N; i++ {
-				cycles = runOnce(b, "SM", 2, gpu,
-					sim.Options{Kind: sim.Basic, SampleBlocks: frac})
+				cycles = runOnce(b, "SM", 6, gpu, sim.Options{Kind: sim.Basic,
+					Sampling: sim.Sampling{Enabled: frac > 0, BlockFraction: frac}})
 			}
 			b.ReportMetric(float64(cycles), "gpu-cycles")
 		})

@@ -49,8 +49,11 @@ func run(args []string, stdout, stderr io.Writer) error {
 	scale := fs.Float64("scale", 0.5, "workload problem scale")
 	gpuName := fs.String("gpu", "RTX2080Ti", "base GPU preset")
 	simName := fs.String("sim", "memory", "simulator: detailed|basic|memory|l2")
-	sample := fs.Float64("sample", 0, "block-sampling fraction in (0,1)")
+	sample := fs.Float64("sample", 0, "sampled execution with this block fraction in (0,1); 0 = full simulation")
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := cliutil.ValidateModes(cliutil.Modes{Sample: *sample != 0, SampleFraction: *sample}); err != nil {
 		return err
 	}
 
@@ -109,7 +112,8 @@ func run(args []string, stdout, stderr io.Writer) error {
 		jobs := make([]swiftsim.Job, len(gpus))
 		for i, g := range gpus {
 			jobs[i] = swiftsim.Job{App: app, GPU: g, Cfg: swiftsim.Config{
-				Simulator: simulator, SampleBlocks: *sample,
+				Simulator: simulator,
+				Sampling:  swiftsim.Sampling{Enabled: *sample != 0, BlockFraction: *sample},
 			}}
 		}
 		fmt.Fprintf(stdout, "%-12s", name)

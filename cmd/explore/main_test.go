@@ -75,6 +75,20 @@ func TestListFlagsTolerant(t *testing.T) {
 	}
 }
 
+// TestSampledExploration: -sample runs every sweep point in sampled
+// execution mode.
+func TestSampledExploration(t *testing.T) {
+	code, out, stderr := runCmd(t,
+		"-key", "l1.ways", "-values", "4,8",
+		"-apps", "BFS", "-scale", "0.1", "-sim", "memory", "-sample", "0.25")
+	if code != 0 {
+		t.Fatalf("exit = %d, stderr:\n%s", code, stderr)
+	}
+	if !strings.Contains(out, "BFS") {
+		t.Errorf("output missing the BFS row:\n%s", out)
+	}
+}
+
 func TestExitOneOnErrors(t *testing.T) {
 	cases := []struct {
 		name string
@@ -90,6 +104,7 @@ func TestExitOneOnErrors(t *testing.T) {
 		{"unknown app", []string{"-key", "l1.sets", "-values", "64", "-apps", "NOPE", "-scale", "0.1"}, "NOPE"},
 		{"empty values list", []string{"-key", "l1.sets", "-values", ",,"}, "contains no values"},
 		{"empty apps list", []string{"-key", "l1.sets", "-values", "64", "-apps", " , "}, "contains no applications"},
+		{"sample fraction out of range", []string{"-key", "l1.sets", "-values", "64", "-sample", "1.5"}, "must be in (0,1)"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

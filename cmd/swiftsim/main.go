@@ -58,7 +58,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	cfgPath := fs.String("config", "", "hardware configuration file (overrides -gpu)")
 	simName := fs.String("sim", "detailed", "simulator: detailed|basic|memory|l2")
 	hitSrc := fs.String("hitrates", "functional", "memory-model hit-rate source: functional|reuse")
-	samplePrefix := fs.Float64("sample-prefix", 0, "legacy prefix block-sampling fraction in (0,1); 0 = full simulation")
 	sample := fs.Bool("sample", false, "sampled execution: replay repeated kernel launches and simulate a representative block subset per launch")
 	sampleFrac := fs.Float64("sample-frac", 0, "with -sample: fraction of post-first-wave blocks to simulate in (0,1); 0 = default")
 	sampleStride := fs.Int("sample-stride", 0, "with -sample: re-simulate every Nth repeated launch (0 = default, 1 = no replay)")
@@ -130,7 +129,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	cfg := swiftsim.Config{
-		SampleBlocks:  *samplePrefix,
 		EngineThreads: *engineThreads,
 		EpochCycles:   *epochCycles,
 	}

@@ -25,9 +25,9 @@ import (
 // format exactly as the decoder does.
 type checkpointLayout struct {
 	nkcOff     int      // run-position kernel-duration count (u64)
-	sampledOff int      // run-position sampled flag (bool byte)
 	modCntOff  int      // engine-section module count (u64)
 	modFrames  [][2]int // [start,end) of each module frame (name + payload)
+	l1ValidOff int      // first L1's first tag-array line valid flag (bool byte)
 	metricsOff int      // metrics-section counter count (u64)
 }
 
@@ -43,17 +43,10 @@ func walkCheckpoint(t *testing.T, data []byte) checkpointLayout {
 		pos += 8
 		return v
 	}
-	str := func() { n := u64(); pos += int(n) }
 
 	var lay checkpointLayout
-	// Identity section: app, kernel count, gpu, kind, max cycles, latency
-	// scale, overhead, sample fraction, epoch length.
-	str()
-	u64()
-	str()
-	for i := 0; i < 6; i++ {
-		u64()
-	}
+	// Identity section: the 32-byte run identity digest.
+	pos += 32
 	// Run-position section.
 	u64() // next kernel
 	lay.nkcOff = pos
@@ -61,8 +54,6 @@ func walkCheckpoint(t *testing.T, data []byte) checkpointLayout {
 	pos += int(nkc) * 8
 	u64() // extrapolated
 	u64() // overhead
-	lay.sampledOff = pos
-	pos++ // sampled bool
 	// Engine section: one length-framed payload.
 	elen := u64()
 	engineEnd := pos + int(elen)
@@ -73,13 +64,28 @@ func walkCheckpoint(t *testing.T, data []byte) checkpointLayout {
 	nMod := u64()
 	for i := uint64(0); i < nMod; i++ {
 		start := pos
-		str()         // module name
+		n := u64() // module name
+		name := string(data[pos : pos+int(n)])
+		pos += int(n)
 		plen := u64() // payload frame
+		if name == "l1" && lay.l1ValidOff == 0 {
+			// A timed cache's payload is its tag array: clock, the
+			// Random policy's state (only under Random replacement),
+			// line count, then 33-byte lines led by address and valid.
+			state := 0
+			if (plen-16)%33 != 0 {
+				state = 8
+			}
+			lay.l1ValidOff = pos + 8 + state + 8 + 8
+		}
 		pos += int(plen)
 		lay.modFrames = append(lay.modFrames, [2]int{start, pos})
 	}
 	if pos != engineEnd {
 		t.Fatalf("walk desynced: engine section ends at %d, walk reached %d", engineEnd, pos)
+	}
+	if lay.l1ValidOff == 0 {
+		t.Fatal("checkpoint has no l1 module frame")
 	}
 	lay.metricsOff = pos
 	return lay
@@ -123,9 +129,9 @@ func TestSnapshotCorruptTruncated(t *testing.T) {
 	data, app := makeCheckpoint(t)
 	lay := walkCheckpoint(t, data)
 	// Cut points spanning every section: inside the header, inside the
-	// identity strings, mid-count, mid-engine-frame, mid-metrics, and one
+	// identity digest, mid-count, mid-engine-frame, mid-metrics, and one
 	// byte short of a valid stream.
-	cuts := []int{0, 3, 7, 8, 12, lay.nkcOff + 4, lay.sampledOff,
+	cuts := []int{0, 3, 7, 8, 12, lay.nkcOff + 4, lay.l1ValidOff,
 		lay.modCntOff + 2, (lay.modFrames[0][0] + lay.modFrames[0][1]) / 2,
 		lay.metricsOff + 1, len(data) - 1}
 	for _, cut := range cuts {
@@ -174,11 +180,13 @@ func TestSnapshotCorruptOverCapCounts(t *testing.T) {
 	}
 }
 
+// TestSnapshotCorruptBoolByte: a bool byte other than 0 or 1 — here an L1
+// tag line's valid flag — is corruption, not a truthy value.
 func TestSnapshotCorruptBoolByte(t *testing.T) {
 	data, app := makeCheckpoint(t)
 	lay := walkCheckpoint(t, data)
 	corrupt := append([]byte(nil), data...)
-	corrupt[lay.sampledOff] = 7 // bools are strictly 0 or 1
+	corrupt[lay.l1ValidOff] = 7 // bools are strictly 0 or 1
 	err := restoreErr(t, app, corrupt)
 	if !errors.Is(err, snap.ErrCorrupt) {
 		t.Errorf("restore of a 0x07 bool byte: error %v, want snap.ErrCorrupt", err)

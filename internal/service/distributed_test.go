@@ -306,6 +306,32 @@ func TestDistributedJobError(t *testing.T) {
 	}
 }
 
+// TestDistributedInvalidOptions: a wire job whose options are out of
+// domain fails with sim.ErrInvalidOptions over the error endpoint and
+// never reaches the simulator — its blob references point nowhere, so
+// fetching the inputs would fail with a different error.
+func TestDistributedInvalidOptions(t *testing.T) {
+	s, srv := newHTTPService(t, remoteConfig(5*time.Second, 3))
+	w, _, _ := startTestWorker(t, srv.URL, nil)
+
+	for i, opts := range []string{`{"kind":9}`, `{"kind":2,"hit_rates":7}`} {
+		wire, err := decodeWireJob(strings.NewReader(fmt.Sprintf(
+			`{"key":"bad%d","app":"BFS","gpu":"RTX2080Ti","sim":"memory","opts":%s}`, i, opts)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, ch := testJob(wire.Key, nil)
+		j.wire = wire
+		s.board.Enqueue(j)
+		if o := waitOutcome(t, ch); o.err == nil || !strings.Contains(o.err.Error(), sim.ErrInvalidOptions.Error()) {
+			t.Errorf("opts %s: job error %v, want %v", opts, o.err, sim.ErrInvalidOptions)
+		}
+	}
+	if ws := w.Stats(); ws.Failed != 2 || ws.Done != 0 {
+		t.Errorf("worker stats = %+v, want 2 failed", ws)
+	}
+}
+
 // TestDistributedCorruptResultRerun is the store-integrity satellite
 // end to end: a result blob corrupted on the daemon's disk is caught by
 // the content hash on the next claim, evicted (blob and ref), and the
@@ -418,7 +444,7 @@ func TestHTTPWorkerProtocol(t *testing.T) {
 	if job.Key == "" || job.LeaseID == "" || job.Token != 1 || job.Attempt != 0 {
 		t.Fatalf("wire job = %+v, want key, lease, token 1, attempt 0", job)
 	}
-	if job.App != "BFS" || job.GPU != "RTX2080Ti" || job.Sim != sim.Memory.String() || job.Opts.Kind != int(sim.Memory) {
+	if job.App != "BFS" || job.GPU != "RTX2080Ti" || job.Sim != sim.Memory.String() || job.Opts.Kind != sim.Memory {
 		t.Errorf("wire job labels = %s/%s/%s kind %d", job.App, job.GPU, job.Sim, job.Opts.Kind)
 	}
 	if !validBlobHash(job.TraceBlob) || !validBlobHash(job.ConfigBlob) {

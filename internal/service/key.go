@@ -3,7 +3,6 @@ package service
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"fmt"
 	"io"
 	"runtime/debug"
 	"sync"
@@ -14,50 +13,28 @@ import (
 	"swiftsim/internal/trace"
 )
 
-// keySchema versions the key derivation itself; bump it when the fields
-// folded into the key change. Schema 3 added the sampled-execution
-// parameters.
-const keySchema = "swiftsim-service-key 3"
+// keySchema versions the key derivation itself; bump it when what the key
+// folds in changes. Schema 4 replaced the hand-written option list with
+// sim.Identity.
+const keySchema = "swiftsim-service-key 4"
 
 // jobKey derives the persistent cache key of one simulation job. Two jobs
 // share a key exactly when they are guaranteed byte-identical canonical
-// results, so the key folds in everything that affects them:
-//
-//   - the canonical rendering format (regress.CanonicalVersion);
-//   - the code version (VCS revision when built from a checkout) — any
-//     code change may legitimately move metrics, so a new build starts
-//     cold rather than serving stale values;
-//   - the full GPU configuration, via its canonical file serialization;
-//   - the trace content hash — content, not pointer or name, so a
-//     re-parsed or re-generated copy of the same workload still hits;
-//   - the result-affecting sim.Options fields, including the relaxed-sync
-//     epoch length (k > 1 legitimately shifts cycle counts, so each k has
-//     its own cache line) and the sampled-execution parameters (a sampled
-//     run's cycles include analytical extrapolation, so each effective
-//     (fraction, stride, seed) triple has its own line — normalized via
-//     Sampling.Effective so "default by zero" and "default spelled out"
-//     share an entry). EngineThreads is deliberately excluded (results
-//     are byte-identical at every shard count for a fixed epoch length);
-//     Scheduler and Trace must be unset — the service never sets them, and
-//     a custom scheduler would change results without changing the key.
+// results: the key is sim.Identity (GPU configuration, trace content and
+// every result-affecting option, as the run uses them) plus what only the
+// cache needs — the canonical rendering format (regress.CanonicalVersion)
+// and the code version (VCS revision when built from a checkout; any code
+// change may legitimately move metrics, so a new build starts cold rather
+// than serving stale values). Scheduler and Trace must be unset — the
+// service never sets them, and a custom scheduler would change results
+// without changing the key.
 func jobKey(app *trace.App, gpu config.GPU, opts sim.Options) string {
 	h := sha256.New()
 	io.WriteString(h, keySchema+"\n")
 	io.WriteString(h, regress.CanonicalVersion+"\n")
 	io.WriteString(h, codeVersion()+"\n")
-	h.Write(config.Marshal(gpu))
-	th := trace.ContentHash(app)
-	h.Write(th[:])
-	epoch := opts.EpochCycles
-	if epoch < 1 {
-		epoch = 1
-	}
-	fmt.Fprintf(h, "opts kind=%d hitrates=%d maxcycles=%d latencyscale=%g overhead=%d sample=%g epoch=%d\n",
-		opts.Kind, opts.HitRates, opts.MaxCycles, opts.LatencyScale,
-		opts.ExtraKernelOverhead, opts.SampleBlocks, epoch)
-	sm := opts.Sampling.Effective()
-	fmt.Fprintf(h, "sampling enabled=%t frac=%g stride=%d seed=%d\n",
-		sm.Enabled, sm.BlockFraction, sm.ReplayStride, sm.Seed)
+	id := sim.Identity(app, gpu, opts)
+	h.Write(id[:])
 	return hex.EncodeToString(h.Sum(nil))
 }
 

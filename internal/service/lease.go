@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"swiftsim/internal/sim"
 )
 
 // This file is the daemon side of the distributed execution plane: a job
@@ -80,31 +82,14 @@ type WireJob struct {
 	// (config.Marshal serialization).
 	TraceBlob  string `json:"trace_blob"`
 	ConfigBlob string `json:"config_blob"`
-	// Opts carries the result-affecting simulator options.
-	Opts WireOptions `json:"opts"`
+	// Opts carries the simulator options; only the result-affecting
+	// fields serialize (the process-local hooks are tagged out).
+	Opts sim.Options `json:"opts"`
 	// TimeoutMS bounds the job's wall-clock time on the worker (0 = none).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// LeaseTTLMS is the lease duration; the worker must heartbeat well
 	// within it (the register response suggests a cadence).
 	LeaseTTLMS int64 `json:"lease_ttl_ms"`
-}
-
-// WireOptions is the serializable subset of sim.Options — everything the
-// sweep service ever sets on a job. Scheduler and Trace hooks are
-// process-local and deliberately unrepresentable here.
-type WireOptions struct {
-	Kind                int     `json:"kind"`
-	HitRates            int     `json:"hit_rates,omitempty"`
-	MaxCycles           uint64  `json:"max_cycles,omitempty"`
-	LatencyScale        float64 `json:"latency_scale,omitempty"`
-	ExtraKernelOverhead uint64  `json:"extra_kernel_overhead,omitempty"`
-	SampleBlocks        float64 `json:"sample_blocks,omitempty"`
-	EngineThreads       int     `json:"engine_threads,omitempty"`
-	EpochCycles         int     `json:"epoch_cycles,omitempty"`
-	SampleEnabled       bool    `json:"sample_enabled,omitempty"`
-	SampleFrac          float64 `json:"sample_frac,omitempty"`
-	SampleStride        int     `json:"sample_stride,omitempty"`
-	SampleSeed          uint64  `json:"sample_seed,omitempty"`
 }
 
 // BoardStats is the lease plane's observability snapshot.

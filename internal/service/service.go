@@ -755,52 +755,8 @@ func (s *Service) publishJob(jb *job, timeout time.Duration) (WireJob, error) {
 	return WireJob{
 		Key: jb.key, App: jb.app.Name, GPU: jb.gpu.Name, Sim: jb.sim,
 		TraceBlob: traceHash, ConfigBlob: confHash,
-		Opts:      wireOptions(jb.opts),
+		Opts:      jb.opts,
 		TimeoutMS: timeoutMS,
-	}, nil
-}
-
-// wireOptions flattens the result-affecting sim.Options into the wire
-// form; wireOptions and simOptions are inverses for every field the
-// service sets.
-func wireOptions(o sim.Options) WireOptions {
-	return WireOptions{
-		Kind:                int(o.Kind),
-		HitRates:            int(o.HitRates),
-		MaxCycles:           o.MaxCycles,
-		LatencyScale:        o.LatencyScale,
-		ExtraKernelOverhead: o.ExtraKernelOverhead,
-		SampleBlocks:        o.SampleBlocks,
-		EngineThreads:       o.EngineThreads,
-		EpochCycles:         o.EpochCycles,
-		SampleEnabled:       o.Sampling.Enabled,
-		SampleFrac:          o.Sampling.BlockFraction,
-		SampleStride:        o.Sampling.ReplayStride,
-		SampleSeed:          o.Sampling.Seed,
-	}
-}
-
-// simOptions rebuilds sim.Options from the wire form (the worker side of
-// wireOptions).
-func simOptions(w WireOptions) (sim.Options, error) {
-	if w.Kind < int(sim.Detailed) || w.Kind > int(sim.L2Hybrid) {
-		return sim.Options{}, fmt.Errorf("service: wire options: unknown simulator kind %d", w.Kind)
-	}
-	return sim.Options{
-		Kind:                sim.Kind(w.Kind),
-		HitRates:            sim.HitRateSource(w.HitRates),
-		MaxCycles:           w.MaxCycles,
-		LatencyScale:        w.LatencyScale,
-		ExtraKernelOverhead: w.ExtraKernelOverhead,
-		SampleBlocks:        w.SampleBlocks,
-		EngineThreads:       w.EngineThreads,
-		EpochCycles:         w.EpochCycles,
-		Sampling: sim.Sampling{
-			Enabled:       w.SampleEnabled,
-			BlockFraction: w.SampleFrac,
-			ReplayStride:  w.SampleStride,
-			Seed:          w.SampleSeed,
-		},
 	}, nil
 }
 

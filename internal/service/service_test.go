@@ -409,21 +409,29 @@ func TestJobKeyDiscriminates(t *testing.T) {
 		"kind":  jobKey(a1, gpu, sim.Options{Kind: sim.Basic}),
 		"rates": jobKey(a1, gpu, sim.Options{Kind: sim.Memory, HitRates: sim.ReuseDistance}),
 		"sample": jobKey(a1, gpu, sim.Options{Kind: sim.Memory,
-			SampleBlocks: 0.5}),
-		"epoch": jobKey(a1, gpu, sim.Options{Kind: sim.Memory,
-			EngineThreads: 4, EpochCycles: 8}),
+			Sampling: sim.Sampling{Enabled: true, BlockFraction: 0.5}}),
 	}
 	for dim, k := range diff {
 		if k == base {
 			t.Errorf("key ignores %s", dim)
 		}
 	}
+	// Epochs take effect only in a parallel assembly of a sharded Kind.
+	basic := jobKey(a1, gpu, sim.Options{Kind: sim.Basic, EngineThreads: 4})
+	if jobKey(a1, gpu, sim.Options{Kind: sim.Basic, EngineThreads: 4, EpochCycles: 8}) == basic {
+		t.Error("key ignores epoch")
+	}
 	// EngineThreads is result-neutral and must share the key; so must the
-	// unset/explicit spellings of exact mode (EpochCycles 0 and 1).
+	// unset/explicit spellings of exact mode (EpochCycles 0 and 1), and a
+	// Memory job at any epoch (Memory always runs serially, so exactly).
 	if jobKey(a1, gpu, sim.Options{Kind: sim.Memory, EngineThreads: 4}) != base {
 		t.Error("key varies with EngineThreads (results are byte-identical)")
 	}
 	if jobKey(a1, gpu, sim.Options{Kind: sim.Memory, EpochCycles: 1}) != base {
 		t.Error("key separates EpochCycles 0 from 1 (both are exact mode)")
+	}
+	if jobKey(a1, gpu, sim.Options{Kind: sim.Memory, EngineThreads: 4, EpochCycles: 8}) !=
+		jobKey(a1, gpu, sim.Options{Kind: sim.Memory, EngineThreads: 4, EpochCycles: 1}) {
+		t.Error("key separates a Memory job at epoch 8 from epoch 1 (Memory runs exact at every epoch)")
 	}
 }

@@ -288,15 +288,26 @@ func (w *Worker) claim(ctx context.Context) (WireJob, bool, error) {
 		io.Copy(io.Discard, resp.Body)
 		return WireJob{}, false, nil
 	case http.StatusOK:
-		var job WireJob
-		if err := json.NewDecoder(resp.Body).Decode(&job); err != nil {
-			return WireJob{}, false, fmt.Errorf("decoding claim: %w", err)
+		job, err := decodeWireJob(resp.Body)
+		if err != nil {
+			return WireJob{}, false, err
 		}
 		return job, true, nil
 	default:
 		body, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
 		return WireJob{}, false, fmt.Errorf("claim: HTTP %d: %s", resp.StatusCode, bytes.TrimSpace(body))
 	}
+}
+
+// decodeWireJob decodes a claim response body. The options are checked
+// later, by runJob, so a job with bad options fails through the lease
+// protocol like any other job error instead of looping on the claim.
+func decodeWireJob(r io.Reader) (WireJob, error) {
+	var job WireJob
+	if err := json.NewDecoder(r).Decode(&job); err != nil {
+		return WireJob{}, fmt.Errorf("decoding claim: %w", err)
+	}
+	return job, nil
 }
 
 // execute runs one leased job end to end. A failure to even assemble the
@@ -345,6 +356,14 @@ func (w *Worker) execute(ctx context.Context, job WireJob) {
 // runJob fetches, assembles and simulates one job, returning its
 // canonical result bytes.
 func (w *Worker) runJob(ctx context.Context, job WireJob) ([]byte, error) {
+	// Refuse out-of-domain options before fetching anything.
+	opts := job.Opts
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
+	if w.cfg.EngineThreads > 0 {
+		opts.EngineThreads = w.cfg.EngineThreads
+	}
 	traceData, err := w.fetchBlob(ctx, job.TraceBlob)
 	if err != nil {
 		return nil, fmt.Errorf("trace blob: %w", err)
@@ -360,13 +379,6 @@ func (w *Worker) runJob(ctx context.Context, job WireJob) ([]byte, error) {
 	gpu, err := config.Parse(bytes.NewReader(confData))
 	if err != nil {
 		return nil, fmt.Errorf("parsing config: %w", err)
-	}
-	opts, err := simOptions(job.Opts)
-	if err != nil {
-		return nil, err
-	}
-	if w.cfg.EngineThreads > 0 {
-		opts.EngineThreads = w.cfg.EngineThreads
 	}
 
 	// The runner brings panic isolation, the per-job deadline and the

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"swiftsim/internal/config"
@@ -54,8 +55,9 @@ func FuzzParseSnapshot(f *testing.F) {
 	skew[4] ^= 0xff
 	f.Add(skew)
 
-	// Absurd count fields right after the identity section.
-	huge := append([]byte{}, valid[:16]...)
+	// Absurd count fields right after the identity section (header plus
+	// the 32-byte identity digest).
+	huge := append([]byte{}, valid[:8+32]...)
 	for i := 0; i < 8; i++ {
 		huge = append(huge, 0xff)
 	}
@@ -116,9 +118,60 @@ func fuzzSeedSnapshotT(t *testing.T) []byte {
 	return buf.Bytes()
 }
 
-// TestRestoreRejectsMismatch pins the identity checks: a checkpoint of one
-// run must refuse to restore into a differently configured one with
-// ErrSnapshotMismatch, not a crash or silent acceptance.
+// gpuMutation is one GPU configuration differing from a base in a single
+// leaf field.
+type gpuMutation struct {
+	field string
+	gpu   config.GPU
+}
+
+// gpuLeafMutations walks every leaf field of config.GPU by reflection and
+// returns one copy of gpu per leaf with that field changed: ints double (0
+// becomes 1, which keeps the power-of-two fields powers of two), bools
+// flip, and strings swap between "ring" and "crossbar" (valid for both the
+// name and the NoC topology). A field added to config.GPU is covered
+// without touching this test.
+func gpuLeafMutations(t *testing.T, gpu config.GPU) []gpuMutation {
+	t.Helper()
+	var out []gpuMutation
+	var walk func(path string, idx []int, typ reflect.Type)
+	walk = func(path string, idx []int, typ reflect.Type) {
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			fidx := append(append([]int(nil), idx...), i)
+			if f.Type.Kind() == reflect.Struct {
+				walk(path+f.Name+".", fidx, f.Type)
+				continue
+			}
+			g := gpu
+			v := reflect.ValueOf(&g).Elem().FieldByIndex(fidx)
+			switch v.Kind() {
+			case reflect.Int:
+				v.SetInt(max(2*v.Int(), 1))
+			case reflect.Bool:
+				v.SetBool(!v.Bool())
+			case reflect.String:
+				if v.String() == "ring" {
+					v.SetString("crossbar")
+				} else {
+					v.SetString("ring")
+				}
+			default:
+				t.Fatalf("config.GPU field %s%s has kind %v: teach gpuLeafMutations to mutate it", path, f.Name, v.Kind())
+			}
+			out = append(out, gpuMutation{path + f.Name, g})
+		}
+	}
+	walk("", nil, reflect.TypeOf(gpu))
+	return out
+}
+
+// TestRestoreRejectsMismatch pins the run identity: a checkpoint must
+// refuse, with ErrSnapshotMismatch rather than a plausible wrong number,
+// to restore into any run whose Identity differs — every leaf of the GPU
+// configuration, every result-affecting option, an engaged epoch length,
+// and the trace content — and must restore into runs that differ only in
+// result-neutral settings.
 func TestRestoreRejectsMismatch(t *testing.T) {
 	gpu, _ := config.Preset("RTX2080Ti")
 	other, _ := config.Preset("RTX3060")
@@ -130,37 +183,93 @@ func TestRestoreRejectsMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if _, err := Run(app, gpu, Options{Kind: Memory, SnapshotTo: &buf}); err != nil {
+	// Same name and kernel count, different content.
+	gemm30, err := workload.Generate("GEMM", 0.3)
+	if err != nil {
 		t.Fatal(err)
 	}
-	snapBytes := buf.Bytes()
+	if gemm30.Name != app.Name || len(gemm30.Kernels) != len(app.Kernels) {
+		t.Fatalf("GEMM at scale 0.3 is %s with %d kernels; want %s with %d", gemm30.Name, len(gemm30.Kernels), app.Name, len(app.Kernels))
+	}
+	l2x3 := gpu
+	l2x3.L2.HitLatency *= 3
 
-	cases := []struct {
+	type run struct {
 		label string
 		app   *trace.App
 		gpu   config.GPU
 		opts  Options
-	}{
-		{"different app", bfs, gpu, Options{Kind: Memory}},
-		{"different GPU", app, other, Options{Kind: Memory}},
-		{"different kind", app, gpu, Options{Kind: Basic}},
-		{"different latency scale", app, gpu, Options{Kind: Memory, LatencyScale: 2}},
-		{"different max cycles", app, gpu, Options{Kind: Memory, MaxCycles: 12345}},
 	}
-	for _, c := range cases {
-		c.opts.RestoreFrom = bytes.NewReader(snapBytes)
-		if _, err := Run(c.app, c.gpu, c.opts); !errors.Is(err, ErrSnapshotMismatch) {
-			t.Errorf("%s: want ErrSnapshotMismatch, got %v", c.label, err)
+	checkpoint := func(r run) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		r.opts.SnapshotTo = &buf
+		if _, err := Run(r.app, r.gpu, r.opts); err != nil {
+			t.Fatalf("%s: checkpoint: %v", r.label, err)
+		}
+		return buf.Bytes()
+	}
+	restore := func(r run, snapBytes []byte) error {
+		r.opts.RestoreFrom = bytes.NewReader(snapBytes)
+		_, err := Run(r.app, r.gpu, r.opts)
+		return err
+	}
+	mustMismatch := func(base, r run, snapBytes []byte) {
+		t.Helper()
+		if Identity(r.app, r.gpu, r.opts) == Identity(base.app, base.gpu, base.opts) {
+			t.Errorf("%s: Identity unchanged", r.label)
+		}
+		if r.gpu.Validate() != nil {
+			return // no valid run to restore into; the identity check suffices
+		}
+		if err := restore(r, snapBytes); !errors.Is(err, ErrSnapshotMismatch) {
+			t.Errorf("%s: restore: want ErrSnapshotMismatch, got %v", r.label, err)
+		}
+	}
+	mustMatch := func(base, r run, snapBytes []byte) {
+		t.Helper()
+		if Identity(r.app, r.gpu, r.opts) != Identity(base.app, base.gpu, base.opts) {
+			t.Errorf("%s: Identity changed", r.label)
+		}
+		if err := restore(r, snapBytes); err != nil {
+			t.Errorf("%s: restore: %v", r.label, err)
 		}
 	}
 
-	// The matching configuration restores cleanly.
-	res, err := Run(app, gpu, Options{Kind: Memory, RestoreFrom: bytes.NewReader(snapBytes)})
-	if err != nil {
-		t.Fatalf("matching restore failed: %v", err)
+	// A serial Memory checkpoint.
+	mem := run{"Memory", app, gpu, Options{Kind: Memory}}
+	memSnap := checkpoint(mem)
+	mismatches := []run{
+		{"L2.HitLatency x3", app, l2x3, Options{Kind: Memory}},
+		{"different app", bfs, gpu, Options{Kind: Memory}},
+		{"same app name and kernel count, different content", gemm30, gpu, Options{Kind: Memory}},
+		{"different GPU", app, other, Options{Kind: Memory}},
+		{"different kind", app, gpu, Options{Kind: Basic}},
+		{"different hit-rate source", app, gpu, Options{Kind: Memory, HitRates: ReuseDistance}},
+		{"different max cycles", app, gpu, Options{Kind: Memory, MaxCycles: 12345}},
+		{"different latency scale", app, gpu, Options{Kind: Memory, LatencyScale: 2}},
+		{"different kernel overhead", app, gpu, Options{Kind: Memory, ExtraKernelOverhead: 7}},
 	}
-	if res == nil || res.Cycles == 0 {
-		t.Error("matching restore produced an empty result")
+	for _, m := range gpuLeafMutations(t, gpu) {
+		mismatches = append(mismatches, run{"GPU " + m.field, app, m.gpu, Options{Kind: Memory}})
 	}
+	for _, r := range mismatches {
+		mustMismatch(mem, r, memSnap)
+	}
+	// Memory always runs serially, so neither the thread count nor the
+	// epoch length reaches its results.
+	for _, r := range []run{
+		{"same run", app, gpu, Options{Kind: Memory}},
+		{"Memory at EngineThreads 4", app, gpu, Options{Kind: Memory, EngineThreads: 4}},
+		{"Memory at EpochCycles 1", app, gpu, Options{Kind: Memory, EpochCycles: 1}},
+		{"Memory at epoch 8", app, gpu, Options{Kind: Memory, EngineThreads: 2, EpochCycles: 8}},
+	} {
+		mustMatch(mem, r, memSnap)
+	}
+
+	// A sharded exact-mode checkpoint: the epoch length engages here.
+	basic := run{"Basic at EngineThreads 2", app, gpu, Options{Kind: Basic, EngineThreads: 2}}
+	basicSnap := checkpoint(basic)
+	mustMismatch(basic, run{"Basic at epoch 8", app, gpu, Options{Kind: Basic, EngineThreads: 2, EpochCycles: 8}}, basicSnap)
+	mustMatch(basic, run{"Basic at EngineThreads 4, EpochCycles 1", app, gpu, Options{Kind: Basic, EngineThreads: 4, EpochCycles: 1}}, basicSnap)
 }

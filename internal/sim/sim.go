@@ -19,6 +19,7 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -35,6 +36,7 @@ import (
 	"swiftsim/internal/obs"
 	"swiftsim/internal/reuse"
 	"swiftsim/internal/smcore"
+	"swiftsim/internal/snap"
 	"swiftsim/internal/trace"
 )
 
@@ -82,26 +84,28 @@ const (
 	ReuseDistance
 )
 
-// Options configures a simulation run.
+// Options configures a simulation run. The JSON form carries every field
+// that can affect results (the service ships it to remote workers); the
+// process-local hooks and checkpoint streams do not serialize.
 type Options struct {
 	// Kind selects the simulator configuration.
-	Kind Kind
+	Kind Kind `json:"kind"`
 	// HitRates selects Swift-Sim-Memory's hit-rate source.
-	HitRates HitRateSource
+	HitRates HitRateSource `json:"hit_rates,omitempty"`
 	// MaxCycles bounds simulated time per kernel (0 = default guard of
 	// one billion cycles).
-	MaxCycles uint64
+	MaxCycles uint64 `json:"max_cycles,omitempty"`
 	// LatencyScale multiplies memory/unit latencies; the golden hardware
 	// model uses it (>1) to represent undisclosed real-hardware timing.
 	// 0 means 1.0.
-	LatencyScale float64
+	LatencyScale float64 `json:"latency_scale,omitempty"`
 	// ExtraKernelOverhead adds fixed cycles per kernel launch (golden
 	// model: driver/launch overhead no performance simulator models).
-	ExtraKernelOverhead uint64
+	ExtraKernelOverhead uint64 `json:"extra_kernel_overhead,omitempty"`
 	// Scheduler optionally installs a custom warp-scheduling policy
 	// (smcore.Picker) per sub-core in place of the configured built-in —
 	// the paper's new-scheduler exploration hook. Works with every Kind.
-	Scheduler func(smID, sub int) smcore.Picker
+	Scheduler func(smID, sub int) smcore.Picker `json:"-"`
 	// EngineThreads is the intra-simulation parallelism degree: the number
 	// of engine shards SMs (with their private L1s and units) are ticked
 	// on concurrently, synchronized at a deterministic per-cycle barrier.
@@ -110,7 +114,7 @@ type Options struct {
 	// (its analytical memory models share order-dependent bandwidth
 	// meters — and it has no per-SM cycle-accurate state worth sharding).
 	// Results are byte-identical at every value.
-	EngineThreads int
+	EngineThreads int `json:"engine_threads,omitempty"`
 	// EpochCycles is the relaxed-sync epoch length. In parallel assemblies
 	// (EngineThreads >= 2 and a Kind with sharded state) a value k > 1 lets
 	// every shard run k consecutive local cycles between barriers, with
@@ -121,44 +125,64 @@ type Options struct {
 	// for fewer barriers. For a given (configuration, k) results are still
 	// bit-reproducible at every thread count. Serial assemblies (including
 	// Memory, which always runs serially) ignore it.
-	EpochCycles int
+	EpochCycles int `json:"epoch_cycles,omitempty"`
 	// SnapshotAt, together with SnapshotTo, checkpoints the run at the
 	// first quiescent kernel boundary at or after this cycle (0 = the
 	// first boundary); the run then continues normally.
-	SnapshotAt uint64
+	SnapshotAt uint64 `json:"-"`
 	// SnapshotTo receives the versioned binary checkpoint (internal/snap
 	// format). nil disables snapshotting. If no kernel boundary at or
 	// after SnapshotAt is quiescent before the run ends, the run fails
 	// with a structured error rather than silently writing nothing.
-	SnapshotTo io.Writer
+	SnapshotTo io.Writer `json:"-"`
 	// RestoreFrom, when non-nil, resumes the run from a checkpoint written
 	// by SnapshotTo: already-simulated kernels are skipped and all module
 	// state (warmed L2, DRAM row state, scheduler counters, metrics) is
-	// restored. The checkpoint's identity — app, GPU, Kind, and every
-	// timing-relevant option including the effective epoch length — must
-	// match this run's; EngineThreads may differ freely.
-	RestoreFrom io.Reader
-	// SampleBlocks in (0,1) enables legacy prefix block sampling: only the
-	// first ceil(fraction×blocks) blocks of each kernel are simulated and
-	// the kernel's cycles are extrapolated linearly. 0 or 1 simulates
-	// everything. Composes with every Kind, but not with Sampling (which
-	// subsumes it; enabling both is an error).
-	SampleBlocks float64
+	// restored. The checkpoint's Identity must equal this run's, or the
+	// restore fails with ErrSnapshotMismatch; EngineThreads may differ
+	// freely as long as the effective epoch length does not.
+	RestoreFrom io.Reader `json:"-"`
 	// Sampling enables the sampled execution mode: kernel-launch
 	// memoization with analytical replay plus representative-block (CTA)
 	// sampling with Eq. 1-style extrapolation — see sample.go. Opt-in and
 	// deterministic (bit-reproducible at every thread count for fixed
 	// options); accuracy drift is bounded by the per-preset envelopes in
 	// internal/regress. Composes with every Kind and with
-	// EngineThreads/EpochCycles; incompatible with SampleBlocks and with
-	// snapshot/restore (a replayed launch has no simulated state to
-	// checkpoint).
-	Sampling Sampling
+	// EngineThreads/EpochCycles; incompatible with snapshot/restore (a
+	// replayed launch has no simulated state to checkpoint).
+	Sampling Sampling `json:"sampling"`
 	// Trace is the observability handle (internal/obs). nil (or a tracer
 	// below the relevant level) records nothing; with tracing on, the
 	// engine, SMs, caches, NoC and DRAM emit spans and counter samples
 	// into it. Tracing never changes simulation results or metrics.
-	Trace *obs.Tracer
+	Trace *obs.Tracer `json:"-"`
+}
+
+// ErrInvalidOptions reports Options outside their domain: an unknown Kind
+// or HitRates value, out-of-range sampling parameters, or sampling combined
+// with snapshot/restore.
+var ErrInvalidOptions = errors.New("sim: invalid options")
+
+// Validate checks opts against their domain. RunCtx calls it before doing
+// any work; callers that receive options from outside the process (the
+// service's wire jobs) call it to refuse a job up front.
+func (o Options) Validate() error {
+	if o.Kind < Detailed || o.Kind > L2Hybrid {
+		return fmt.Errorf("%w: unknown simulator kind %d", ErrInvalidOptions, int(o.Kind))
+	}
+	if o.HitRates != FunctionalCaches && o.HitRates != ReuseDistance {
+		return fmt.Errorf("%w: unknown hit-rate source %d", ErrInvalidOptions, int(o.HitRates))
+	}
+	if !o.Sampling.Enabled {
+		return nil
+	}
+	if err := o.Sampling.validate(); err != nil {
+		return fmt.Errorf("%w: %w", ErrInvalidOptions, err)
+	}
+	if o.SnapshotTo != nil || o.RestoreFrom != nil {
+		return fmt.Errorf("%w: sampled mode cannot be combined with snapshot/restore: a replayed launch has no simulated state to checkpoint", ErrInvalidOptions)
+	}
+	return nil
 }
 
 // Result is the outcome of simulating one application.
@@ -223,6 +247,9 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if err := opts.Validate(); err != nil {
+		return nil, fmt.Errorf("sim: %s: %w", app.Name, err)
+	}
 	if err := gpu.Validate(); err != nil {
 		return nil, err
 	}
@@ -239,19 +266,20 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	}
 	start := time.Now()
 
-	// Block-level sampling: simulate a prefix of each kernel's blocks
-	// and extrapolate. The sampled app also drives hit-rate profiling.
-	sampleScale := make([]float64, len(app.Kernels))
-	for i := range sampleScale {
-		sampleScale[i] = 1
+	// Only checkpointing runs pay for the identity hash. A checkpoint that
+	// belongs to a different run is refused here, before any profiling or
+	// assembly work.
+	var id [32]byte
+	var restore *snap.Reader
+	if opts.SnapshotTo != nil || opts.RestoreFrom != nil {
+		id = Identity(app, gpu, opts)
 	}
-	sampled := false
-	if opts.SampleBlocks > 0 && opts.SampleBlocks < 1 {
-		if opts.Sampling.Enabled {
-			return nil, fmt.Errorf("sim: %s: SampleBlocks and Sampling cannot be combined (Sampling subsumes prefix sampling)", app.Name)
+	if opts.RestoreFrom != nil {
+		r, err := openSnapshot(opts.RestoreFrom, id)
+		if err != nil {
+			return nil, fmt.Errorf("sim: %s: restore: %w", app.Name, err)
 		}
-		app, sampleScale = sampleApp(app, gpu, opts.SampleBlocks)
-		sampled = true
+		restore = r
 	}
 
 	// Sampled execution mode (sample.go): representative-block subsets per
@@ -260,14 +288,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	// the sample too.
 	var smp *sampler
 	if opts.Sampling.Enabled {
-		if err := opts.Sampling.validate(); err != nil {
-			return nil, fmt.Errorf("sim: %s: %w", app.Name, err)
-		}
-		if opts.SnapshotTo != nil || opts.RestoreFrom != nil {
-			return nil, fmt.Errorf("sim: %s: sampled mode cannot be combined with snapshot/restore: a replayed launch has no simulated state to checkpoint", app.Name)
-		}
 		smp, app = newSampler(app, gpu, opts.Sampling)
-		sampled = true
 	}
 
 	var prof *reuse.Profile
@@ -302,8 +323,8 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	var overhead, extrapolated uint64
 	kernelCycles := make([]uint64, 0, len(app.Kernels))
 	firstKernel := 0
-	if opts.RestoreFrom != nil {
-		st, err := readSnapshot(a, app, gpu, opts, sampled)
+	if restore != nil {
+		st, err := readSnapshot(a, restore, len(app.Kernels))
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s: restore: %w", app.Name, err)
 		}
@@ -316,7 +337,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 	for ki := firstKernel; ki < len(app.Kernels); ki++ {
 		k := app.Kernels[ki]
 		if snapshotPending && a.eng.Cycle() >= opts.SnapshotAt {
-			taken, err := writeSnapshot(a, app, gpu, opts, sampled, ki, kernelCycles, extrapolated, overhead)
+			taken, err := writeSnapshot(a, opts.SnapshotTo, id, ki, kernelCycles, extrapolated, overhead)
 			if err != nil {
 				return nil, fmt.Errorf("sim: %s: snapshot: %w", app.Name, err)
 			}
@@ -360,7 +381,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		if err := a.bs.Err(); err != nil {
 			return nil, fmt.Errorf("sim: %s kernel %d (%s): %w", app.Name, ki, k.Name, err)
 		}
-		kc := extrapolate(a.eng.Cycle()-kStart, sampleScale[ki])
+		kc := a.eng.Cycle() - kStart
 		if smp != nil {
 			kc = smp.endLaunch(a, ki, a.eng.Cycle()-kStart)
 		}
@@ -381,7 +402,7 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 			return nil, fmt.Errorf("sim: %s: snapshot at cycle %d never taken: the run ended at cycle %d",
 				app.Name, opts.SnapshotAt, a.eng.Cycle())
 		}
-		taken, err := writeSnapshot(a, app, gpu, opts, sampled, len(app.Kernels), kernelCycles, extrapolated, overhead)
+		taken, err := writeSnapshot(a, opts.SnapshotTo, id, len(app.Kernels), kernelCycles, extrapolated, overhead)
 		if err != nil {
 			return nil, fmt.Errorf("sim: %s: snapshot: %w", app.Name, err)
 		}
@@ -410,58 +431,12 @@ func RunCtx(ctx context.Context, app *trace.App, gpu config.GPU, opts Options) (
 		ProfileWall:   profileWall,
 		Instructions:  a.g.Value("sm.issued"),
 		KernelCycles:  kernelCycles,
-		Sampled:       sampled,
+		Sampled:       smp != nil,
 		TickedCycles:  a.eng.TickedCycles(),
 		SkippedCycles: a.eng.SkippedCycles(),
 		Metrics:       a.g.Snapshot(),
 		Inventory:     a.eng.Inventory(),
 	}, nil
-}
-
-// sampleApp truncates each kernel to a prefix of its blocks and returns
-// the per-kernel extrapolation factors. Extrapolation is wave-aware:
-// blocks execute in waves of (occupancy × SMs) concurrent blocks, so
-// scaling uses wave counts rather than raw block counts, and at least one
-// full wave is always simulated.
-func sampleApp(app *trace.App, gpu config.GPU, frac float64) (*trace.App, []float64) {
-	out := &trace.App{Name: app.Name, Suite: app.Suite}
-	scale := make([]float64, len(app.Kernels))
-	for i, k := range app.Kernels {
-		n := len(k.Blocks)
-		waveCap := smcore.BlocksPerSM(gpu.SM, k) * gpu.NumSMs
-		if waveCap < 1 {
-			waveCap = 1
-		}
-		keep := int(float64(n)*frac + 0.5)
-		if keep < waveCap {
-			keep = waveCap // always simulate a full wave
-		}
-		if keep > n {
-			keep = n
-		}
-		waves := func(blocks int) float64 {
-			return float64((blocks + waveCap - 1) / waveCap)
-		}
-		sk := &trace.Kernel{
-			Name:              k.Name,
-			Grid:              trace.Dim3{X: keep, Y: 1, Z: 1},
-			Block:             k.Block,
-			RegsPerThread:     k.RegsPerThread,
-			SharedMemPerBlock: k.SharedMemPerBlock,
-			Blocks:            k.Blocks[:keep],
-		}
-		out.Kernels = append(out.Kernels, sk)
-		scale[i] = waves(n) / waves(keep)
-	}
-	return out, scale
-}
-
-// extrapolate scales a sampled kernel's raw cycle count by its wave-based
-// extrapolation factor, rounding half-up. Truncating toward zero here
-// systematically under-predicted sampled runs by up to one cycle per
-// kernel times the scale's fractional part.
-func extrapolate(raw uint64, scale float64) uint64 {
-	return uint64(float64(raw)*scale + 0.5)
 }
 
 // scaleLat applies the golden model's latency scale.
@@ -476,6 +451,29 @@ func scaleLat(l int, scale float64) int {
 	return v
 }
 
+// shardCount returns the number of engine shards the assembly distributes
+// SMs over: EngineThreads clamped to NumSMs, and 1 for serial runs and for
+// the Memory configuration, which has no shardable cycle-accurate state
+// (its analytical models share order-dependent bandwidth meters).
+func shardCount(gpu config.GPU, opts Options) int {
+	n := min(opts.EngineThreads, gpu.NumSMs)
+	if n < 2 || opts.Kind == Memory {
+		return 1
+	}
+	return n
+}
+
+// effectiveEpoch returns the relaxed-sync epoch length the assembly runs:
+// EpochCycles in a parallel assembly, else 1 (exact mode). Serial
+// assemblies silently run exact — the CLIs reject that combination up
+// front (cliutil.ValidateModes).
+func effectiveEpoch(gpu config.GPU, opts Options) int {
+	if opts.EpochCycles < 2 || shardCount(gpu, opts) < 2 {
+		return 1
+	}
+	return opts.EpochCycles
+}
+
 // assemble wires one simulator instance per opts.Kind. Unsatisfiable unit
 // or warp-slot configurations are reported as errors here, at assembly
 // time, rather than as panics mid-simulation.
@@ -488,16 +486,8 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 
 	// Intra-simulation parallelism: SMs (and their private L1s/units) are
 	// distributed over nShards engine shards; the shared modules (block
-	// scheduler, NoC, L2, DRAM) stay serial. The Memory configuration has
-	// no shardable cycle-accurate state (and its analytical models share
-	// order-dependent bandwidth meters), so it always runs serially.
-	nShards := opts.EngineThreads
-	if nShards > gpu.NumSMs {
-		nShards = gpu.NumSMs
-	}
-	if nShards < 2 || opts.Kind == Memory {
-		nShards = 1
-	}
+	// scheduler, NoC, L2, DRAM) stay serial.
+	nShards := shardCount(gpu, opts)
 	shardOf := func(smID int) int { return smID % nShards }
 	var shadows []*metrics.Gatherer
 	ctxFor := func(smID int) engine.Context { return eng }
@@ -521,12 +511,8 @@ func assemble(gpu config.GPU, opts Options, prof *reuse.Profile) (*gpuAssembly, 
 	// Relaxed-sync epochs engage only in parallel assemblies; an epoch
 	// boundary (boundary.go) then carries each L1's downstream traffic,
 	// because PreTick drains run inside the concurrent shard pass instead
-	// of a serial pre-phase. Serial assemblies silently run exact — the
-	// CLIs reject that combination up front (cliutil.ValidateModes).
-	epochK := opts.EpochCycles
-	if epochK < 1 || nShards < 2 {
-		epochK = 1
-	}
+	// of a serial pre-phase.
+	epochK := effectiveEpoch(gpu, opts)
 	var boundary *epochBoundary
 	if epochK > 1 {
 		eng.SetEpoch(epochK)

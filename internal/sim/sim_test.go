@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"io"
 	"math"
 	"strings"
 	"testing"
@@ -173,6 +174,16 @@ func TestRunRejectsInvalidInputs(t *testing.T) {
 	if _, err := Run(badApp, gpu, Options{}); err == nil {
 		t.Error("invalid app accepted")
 	}
+	for _, opts := range []Options{
+		{Kind: Kind(9)},
+		{Kind: Memory, HitRates: HitRateSource(7)},
+		{Sampling: Sampling{Enabled: true, BlockFraction: 1.5}},
+		{Sampling: Sampling{Enabled: true}, SnapshotTo: io.Discard},
+	} {
+		if _, err := Run(app, gpu, opts); !errors.Is(err, ErrInvalidOptions) {
+			t.Errorf("%+v: want ErrInvalidOptions, got %v", opts, err)
+		}
+	}
 }
 
 func TestDeterministicCycles(t *testing.T) {
@@ -302,23 +313,26 @@ func TestBadTopologyRejected(t *testing.T) {
 func TestBlockSampling(t *testing.T) {
 	// Sampled simulation of a homogeneous workload extrapolates close to
 	// the full run at a fraction of the simulated work.
-	// Enough blocks for several waves on the small GPU, so sampling has
+	// Enough blocks for several waves on a 4-SM GPU, so the tail past the
+	// first wave is longer than one sample window and sampling has
 	// something to skip.
 	gpu := smallGPU()
+	gpu.NumSMs = 4
+	gpu.MemPartitions = 2
 	app := mustApp(t, "SM", 4)
 	full, err := Run(app, gpu, Options{Kind: Basic})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := Run(app, gpu, Options{Kind: Basic, SampleBlocks: 0.25})
+	sampled, err := Run(app, gpu, Options{Kind: Basic, Sampling: Sampling{Enabled: true, BlockFraction: 0.25}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !sampled.Sampled || full.Sampled {
 		t.Error("Sampled flags wrong")
 	}
-	if sampled.Instructions >= full.Instructions {
-		t.Errorf("sampling simulated %d instructions, full %d", sampled.Instructions, full.Instructions)
+	if sampled.TickedCycles >= full.TickedCycles {
+		t.Errorf("sampling ticked %d cycles, full %d", sampled.TickedCycles, full.TickedCycles)
 	}
 	ratio := float64(sampled.Cycles) / float64(full.Cycles)
 	if ratio < 0.7 || ratio > 1.4 {
@@ -347,54 +361,15 @@ func TestKernelCyclesSumToTotal(t *testing.T) {
 	}
 }
 
-func TestSamplingFractionOneIsFull(t *testing.T) {
-	gpu := smallGPU()
-	app := mustApp(t, "MVT", 0.15)
-	full, err := Run(app, gpu, Options{Kind: Basic})
-	if err != nil {
-		t.Fatal(err)
-	}
-	one, err := Run(app, gpu, Options{Kind: Basic, SampleBlocks: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if one.Cycles != full.Cycles || one.Sampled {
-		t.Errorf("fraction 1: cycles %d vs %d, sampled=%v", one.Cycles, full.Cycles, one.Sampled)
-	}
-}
-
 func TestSamplingComposesWithMemoryKind(t *testing.T) {
 	gpu := smallGPU()
 	app := mustApp(t, "ADI", 0.3)
-	res, err := Run(app, gpu, Options{Kind: Memory, SampleBlocks: 0.5})
+	res, err := Run(app, gpu, Options{Kind: Memory, Sampling: Sampling{Enabled: true, BlockFraction: 0.5}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Cycles == 0 || !res.Sampled {
 		t.Fatalf("sampled Memory run: %+v", res.Cycles)
-	}
-}
-
-func TestExtrapolateRoundsHalfUp(t *testing.T) {
-	// Regression for the sampled-cycle truncation bug: uint64(x*scale)
-	// truncates toward zero and under-predicts, e.g. 3 raw cycles at a
-	// wave scale of 2/3 gives the float product 1.9999999999999998, which
-	// truncation pinned at 1 instead of 2.
-	cases := []struct {
-		raw   uint64
-		scale float64
-		want  uint64
-	}{
-		{3, 2.0 / 3.0, 2},         // 1.999...8 -> truncation bug gave 1
-		{1000, 1, 1000},           // identity untouched
-		{7, 1.5, 11},              // 10.5 rounds up
-		{100, 2.004999, 200},      // 200.4999 rounds down
-		{1_000_003, 3, 3_000_009}, // exact products stay exact
-	}
-	for _, c := range cases {
-		if got := extrapolate(c.raw, c.scale); got != c.want {
-			t.Errorf("extrapolate(%d, %v) = %d, want %d", c.raw, c.scale, got, c.want)
-		}
 	}
 }
 

@@ -4,20 +4,23 @@
 // A sim snapshot is one snap stream:
 //
 //	header   magic "SSIM" + format version (snap.LoadHeader)
-//	identity app name, kernel count, GPU name, Kind, MaxCycles,
-//	         LatencyScale, ExtraKernelOverhead, SampleBlocks and the
-//	         effective epoch length — everything that shapes the timing of
-//	         the remainder of the run. Restore refuses a mismatch with
-//	         ErrSnapshotMismatch. EngineThreads is deliberately excluded:
-//	         the module inventory and all simulated state are thread-count
+//	identity the 32-byte run Identity (identity.go): GPU configuration,
+//	         trace content and every result-affecting option, including
+//	         the effective epoch length. Restore refuses a mismatch with
+//	         ErrSnapshotMismatch before any profiling or assembly work.
+//	         EngineThreads counts only through the effective epoch: the
+//	         module inventory and all simulated state are thread-count
 //	         independent, so a checkpoint taken at one thread count restores
 //	         at any other. A custom Scheduler hook cannot be compared (it is
 //	         a function) and is the caller's responsibility to keep stable.
 //	run pos  next kernel index, per-kernel durations so far, extrapolated
-//	         and overhead cycle accumulators, the sampling flag
+//	         and overhead cycle accumulators
 //	engine   one length-framed engine.SaveState payload (scheduler counters
 //	         plus every module's positional section)
 //	metrics  the gatherer's counters by sorted name
+//
+// Sampled runs cannot checkpoint (Options.Validate), so the run position
+// carries no sampling state.
 //
 // Snapshots are taken only at quiescent kernel boundaries: no scheduled
 // events, no busy module, no in-flight memory traffic. Boundaries that are
@@ -32,11 +35,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
-	"swiftsim/internal/config"
 	"swiftsim/internal/snap"
-	"swiftsim/internal/trace"
 )
 
 // ErrSnapshotMismatch reports a checkpoint whose identity section does not
@@ -44,11 +44,11 @@ import (
 var ErrSnapshotMismatch = errors.New("sim: snapshot does not match this run")
 
 // writeSnapshot checkpoints the run at the current kernel boundary, with
-// nextKernel the index of the first kernel not yet simulated. It returns
-// (false, nil) when the boundary is not quiescent — the caller retries at
-// the next boundary — and (true, nil) once the checkpoint has been written
-// to opts.SnapshotTo.
-func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, sampled bool, nextKernel int, kernelCycles []uint64, extrapolated, overhead uint64) (bool, error) {
+// nextKernel the index of the first kernel not yet simulated and id the
+// run's Identity. It returns (false, nil) when the boundary is not
+// quiescent — the caller retries at the next boundary — and (true, nil)
+// once the checkpoint has been written to out.
+func writeSnapshot(a *gpuAssembly, out io.Writer, id [32]byte, nextKernel int, kernelCycles []uint64, extrapolated, overhead uint64) (bool, error) {
 	// Fold the per-shard metric shadows first so the saved gatherer equals
 	// a serial run's at this boundary.
 	if a.drain != nil {
@@ -59,16 +59,7 @@ func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options,
 	}
 
 	var w snap.Writer
-	// Identity section.
-	w.String(app.Name)
-	w.U64(uint64(len(app.Kernels)))
-	w.String(gpu.Name)
-	w.U64(uint64(opts.Kind))
-	w.U64(opts.MaxCycles)
-	w.F64(opts.LatencyScale)
-	w.U64(opts.ExtraKernelOverhead)
-	w.F64(opts.SampleBlocks)
-	w.U64(uint64(a.eng.EpochCycles()))
+	w.Digest(id)
 
 	// Run-position section.
 	w.U64(uint64(nextKernel))
@@ -78,7 +69,6 @@ func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options,
 	}
 	w.U64(extrapolated)
 	w.U64(overhead)
-	w.Bool(sampled)
 
 	// Engine section, length-framed so the stream can be walked without
 	// engine knowledge (see ParseSnapshot).
@@ -102,7 +92,7 @@ func writeSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options,
 		w.U64(a.g.Value(n))
 	}
 
-	if _, err := w.WriteTo(opts.SnapshotTo); err != nil {
+	if _, err := w.WriteTo(out); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -116,11 +106,11 @@ type resumeState struct {
 	overhead     uint64
 }
 
-// readSnapshot restores a freshly assembled simulator from opts.RestoreFrom
-// and returns where to resume. Every failure is a structured error; on
-// error the assembly must be discarded.
-func readSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, sampled bool) (*resumeState, error) {
-	data, err := io.ReadAll(opts.RestoreFrom)
+// openSnapshot reads a checkpoint stream and checks its header and
+// identity section against id, the Identity of the run restoring it. It
+// returns a reader positioned at the run-position section.
+func openSnapshot(in io.Reader, id [32]byte) (*snap.Reader, error) {
+	data, err := io.ReadAll(in)
 	if err != nil {
 		return nil, err
 	}
@@ -128,39 +118,21 @@ func readSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, 
 	if err != nil {
 		return nil, err
 	}
-
-	// Identity section.
-	if v := r.String(); r.Err() == nil && v != app.Name {
-		return nil, fmt.Errorf("%w: snapshot is of app %q, this run simulates %q", ErrSnapshotMismatch, v, app.Name)
-	}
-	if v := r.U64(); r.Err() == nil && v != uint64(len(app.Kernels)) {
-		return nil, fmt.Errorf("%w: snapshot has %d kernels, this run has %d", ErrSnapshotMismatch, v, len(app.Kernels))
-	}
-	if v := r.String(); r.Err() == nil && v != gpu.Name {
-		return nil, fmt.Errorf("%w: snapshot is for GPU %q, this run uses %q", ErrSnapshotMismatch, v, gpu.Name)
-	}
-	if v := r.U64(); r.Err() == nil && v != uint64(opts.Kind) {
-		return nil, fmt.Errorf("%w: snapshot is a %v run, this run is %v", ErrSnapshotMismatch, Kind(v), opts.Kind)
-	}
-	if v := r.U64(); r.Err() == nil && v != opts.MaxCycles {
-		return nil, fmt.Errorf("%w: snapshot MaxCycles=%d, this run has %d", ErrSnapshotMismatch, v, opts.MaxCycles)
-	}
-	if v := r.F64(); r.Err() == nil && math.Float64bits(v) != math.Float64bits(opts.LatencyScale) {
-		return nil, fmt.Errorf("%w: snapshot LatencyScale=%v, this run has %v", ErrSnapshotMismatch, v, opts.LatencyScale)
-	}
-	if v := r.U64(); r.Err() == nil && v != opts.ExtraKernelOverhead {
-		return nil, fmt.Errorf("%w: snapshot ExtraKernelOverhead=%d, this run has %d", ErrSnapshotMismatch, v, opts.ExtraKernelOverhead)
-	}
-	if v := r.F64(); r.Err() == nil && math.Float64bits(v) != math.Float64bits(opts.SampleBlocks) {
-		return nil, fmt.Errorf("%w: snapshot SampleBlocks=%v, this run has %v", ErrSnapshotMismatch, v, opts.SampleBlocks)
-	}
-	if v := r.U64(); r.Err() == nil && v != uint64(a.eng.EpochCycles()) {
-		return nil, fmt.Errorf("%w: snapshot epoch length %d, this assembly runs %d", ErrSnapshotMismatch, v, a.eng.EpochCycles())
-	}
+	got := r.Digest()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
+	if got != id {
+		return nil, fmt.Errorf("%w: checkpoint identity %x, this run %x", ErrSnapshotMismatch, got[:8], id[:8])
+	}
+	return r, nil
+}
 
+// readSnapshot restores a freshly assembled simulator of an app with
+// nKernels kernels from r (positioned by openSnapshot) and returns where
+// to resume. Every failure is a structured error; on error the assembly
+// must be discarded.
+func readSnapshot(a *gpuAssembly, r *snap.Reader, nKernels int) (*resumeState, error) {
 	// Run-position section.
 	nextKernel := r.U64()
 	nkc := r.Count(8)
@@ -170,18 +142,14 @@ func readSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, 
 	}
 	extrapolated := r.U64()
 	overhead := r.U64()
-	snapSampled := r.Bool()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if nextKernel > uint64(len(app.Kernels)) {
-		return nil, fmt.Errorf("%w: snapshot resumes at kernel %d of %d", snap.ErrCorrupt, nextKernel, len(app.Kernels))
+	if nextKernel > uint64(nKernels) {
+		return nil, fmt.Errorf("%w: snapshot resumes at kernel %d of %d", snap.ErrCorrupt, nextKernel, nKernels)
 	}
 	if nextKernel != uint64(nkc) {
 		return nil, fmt.Errorf("%w: snapshot resumes at kernel %d but records %d kernel durations", snap.ErrCorrupt, nextKernel, nkc)
-	}
-	if snapSampled != sampled {
-		return nil, fmt.Errorf("%w: snapshot sampled=%v, this run sampled=%v", ErrSnapshotMismatch, snapSampled, sampled)
 	}
 
 	// Engine section.
@@ -197,7 +165,8 @@ func readSnapshot(a *gpuAssembly, app *trace.App, gpu config.GPU, opts Options, 
 	}
 
 	// Metrics section. All names come from a matching assembly (identity
-	// checked above), so Set restores the exact counter set of the run.
+	// checked by openSnapshot), so Set restores the exact counter set of
+	// the run.
 	nm := r.Count(16)
 	for i := 0; i < nm; i++ {
 		name := r.String()
@@ -232,16 +201,7 @@ func ParseSnapshot(data []byte) error {
 		return err
 	}
 
-	// Identity section.
-	_ = r.String() // app name
-	r.U64()        // kernel count
-	_ = r.String() // GPU name
-	r.U64()        // kind
-	r.U64()        // max cycles
-	r.F64()        // latency scale
-	r.U64()        // kernel overhead
-	r.F64()        // sample fraction
-	r.U64()        // epoch length
+	r.Digest() // identity
 
 	// Run-position section.
 	next := r.U64()
@@ -251,7 +211,6 @@ func ParseSnapshot(data []byte) error {
 	}
 	r.U64() // extrapolated
 	r.U64() // overhead
-	r.Bool()
 	if err := r.Err(); err != nil {
 		return err
 	}

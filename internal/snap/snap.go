@@ -26,7 +26,7 @@ const Magic = "SSIM"
 // Version is the current snapshot format version. Bump on any
 // incompatible layout change; LoadHeader rejects mismatches with
 // ErrVersion so a skewed binary never misparses old state as new.
-const Version uint32 = 1
+const Version uint32 = 2
 
 // ErrCorrupt reports structurally invalid snapshot data.
 var ErrCorrupt = errors.New("snap: corrupt snapshot")
@@ -107,6 +107,9 @@ func (w *Writer) Bytes64(b []byte) {
 	w.U64(uint64(len(b)))
 	w.buf = append(w.buf, b...)
 }
+
+// Digest appends a fixed-width 32-byte digest (no length prefix).
+func (w *Writer) Digest(d [32]byte) { w.buf = append(w.buf, d[:]...) }
 
 // String appends a length-prefixed UTF-8 string.
 func (w *Writer) String(s string) {
@@ -270,6 +273,20 @@ func (r *Reader) BytesN() []byte {
 	copy(b, r.buf[r.pos:r.pos+n])
 	r.pos += n
 	return b
+}
+
+// Digest reads a fixed-width 32-byte digest.
+func (r *Reader) Digest() [32]byte {
+	var d [32]byte
+	if r.err != nil {
+		return d
+	}
+	if r.Remaining() < len(d) {
+		r.fail(fmt.Errorf("%w: digest at offset %d", ErrTruncated, r.pos))
+		return d
+	}
+	r.pos += copy(d[:], r.buf[r.pos:])
+	return d
 }
 
 // String reads a length-prefixed string.

@@ -267,10 +267,6 @@ type Config struct {
 	// Scheduler optionally installs a custom warp-scheduling policy per
 	// sub-core (nil keeps the GPU configuration's built-in policy).
 	Scheduler func(smID, subCore int) WarpPicker
-	// SampleBlocks in (0,1) enables wave-aware block-sampled simulation:
-	// a prefix of each kernel's blocks is simulated and cycles are
-	// extrapolated by wave count. 0 or 1 simulates everything.
-	SampleBlocks float64
 	// EngineThreads > 1 ticks the simulated SMs (and their private L1s) on
 	// that many engine shards concurrently, synchronizing at a
 	// deterministic per-cycle barrier: results are byte-identical to a
@@ -293,8 +289,8 @@ type Config struct {
 	// Deterministic and bit-reproducible at any thread count, but results
 	// may drift from the full run (see the committed accuracy envelopes in
 	// internal/regress/testdata/sample). Composes with EngineThreads and
-	// EpochCycles; incompatible with SampleBlocks and with
-	// snapshot/restore. The zero value simulates everything.
+	// EpochCycles; incompatible with snapshot/restore. The zero value
+	// simulates everything.
 	Sampling Sampling
 	// SnapshotAt requests a checkpoint at the first quiescent kernel
 	// boundary at or after this cycle, written to SnapshotTo. Taking a
@@ -306,9 +302,10 @@ type Config struct {
 	SnapshotTo io.Writer
 	// RestoreFrom resumes a run from a checkpoint written by an identically
 	// configured run. EngineThreads may differ freely between the saving
-	// and restoring runs; every other timing-relevant setting (simulator,
-	// GPU, app, MaxCycles, sampling, epoch length) must match or the
-	// restore fails with sim.ErrSnapshotMismatch.
+	// and restoring runs as long as the effective epoch length does not;
+	// every other result-affecting setting (simulator, hit-rate source,
+	// the full GPU configuration, the trace content, MaxCycles) must match
+	// or the restore fails with sim.ErrSnapshotMismatch.
 	RestoreFrom io.Reader
 	// Trace records observability events for this simulation (see
 	// NewTracer). nil — the default — records nothing and costs nothing.
@@ -328,12 +325,16 @@ func Simulate(app *App, gpu GPU, cfg Config) (*Result, error) {
 // passing one with a deadline) stops the simulation promptly with an error
 // wrapping ctx.Err().
 func SimulateCtx(ctx context.Context, app *App, gpu GPU, cfg Config) (*Result, error) {
-	return sim.RunCtx(ctx, app, gpu, sim.Options{
+	return sim.RunCtx(ctx, app, gpu, cfg.options())
+}
+
+// options converts the public configuration into simulator options.
+func (cfg Config) options() sim.Options {
+	return sim.Options{
 		Kind:          cfg.Simulator,
 		HitRates:      cfg.HitRates,
 		MaxCycles:     cfg.MaxCycles,
 		Scheduler:     cfg.Scheduler,
-		SampleBlocks:  cfg.SampleBlocks,
 		Trace:         cfg.Trace,
 		EngineThreads: cfg.EngineThreads,
 		EpochCycles:   cfg.EpochCycles,
@@ -341,7 +342,7 @@ func SimulateCtx(ctx context.Context, app *App, gpu GPU, cfg Config) (*Result, e
 		SnapshotAt:    cfg.SnapshotAt,
 		SnapshotTo:    cfg.SnapshotTo,
 		RestoreFrom:   cfg.RestoreFrom,
-	})
+	}
 }
 
 // SimulateHardware runs the golden "real hardware" reference model used in
@@ -396,20 +397,7 @@ func SimulateAll(jobs []Job, threads int) []Outcome {
 func SimulateAllOpts(jobs []Job, threads int, opts RunOptions) []Outcome {
 	rjobs := make([]runner.Job, len(jobs))
 	for i, j := range jobs {
-		rjobs[i] = runner.Job{App: j.App, GPU: j.GPU, Opts: sim.Options{
-			Kind:          j.Cfg.Simulator,
-			HitRates:      j.Cfg.HitRates,
-			MaxCycles:     j.Cfg.MaxCycles,
-			Scheduler:     j.Cfg.Scheduler,
-			SampleBlocks:  j.Cfg.SampleBlocks,
-			Trace:         j.Cfg.Trace,
-			EngineThreads: j.Cfg.EngineThreads,
-			EpochCycles:   j.Cfg.EpochCycles,
-			Sampling:      j.Cfg.Sampling,
-			SnapshotAt:    j.Cfg.SnapshotAt,
-			SnapshotTo:    j.Cfg.SnapshotTo,
-			RestoreFrom:   j.Cfg.RestoreFrom,
-		}}
+		rjobs[i] = runner.Job{App: j.App, GPU: j.GPU, Opts: j.Cfg.options()}
 	}
 	outs := runner.Run(rjobs, threads, opts)
 	res := make([]Outcome, len(outs))
